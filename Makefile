@@ -13,8 +13,9 @@
 # -vettool`. Any diagnostic makes the run exit non-zero.
 #
 # `make check` is the CI gate: custom analyzers, vet everything, then
-# run the determinism suite under the race detector (the worker-pool
-# synchronization and the 1/2/8-worker bitwise contract in one pass).
+# run the whole test suite under the race detector (`make race`: the
+# worker-pool synchronization and the 1/2/8-worker bitwise contract in
+# one pass, with no hand-kept list of test names to fall out of date).
 
 PR ?= 1
 BASELINE ?= BENCH_SEED.json
@@ -50,7 +51,7 @@ lint:
 
 check: lint
 	go vet ./...
-	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestSharded|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+	$(MAKE) --no-print-directory race
 
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \

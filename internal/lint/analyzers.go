@@ -1,9 +1,9 @@
 package lint
 
 // All returns every amglint analyzer in stable order: the five
-// repo-contract analyzers plus the two general passes (lockcopy,
-// nilderef) that stand in for x/tools' copylocks/nilness in the
-// offline build.
+// repo-contract analyzers plus nilderef, which stands in for x/tools'
+// nilness in the offline build. Lock copies need no stand-in: stock
+// vet's copylocks pass already runs in `go vet ./...`.
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc,
@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		CtxPoll,
 		SentinelIs,
 		AtomicField,
-		LockCopy,
 		NilDeref,
 	}
 }

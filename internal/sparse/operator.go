@@ -9,8 +9,8 @@ import (
 
 // Operator is the format-independent view of a sparse operator: the
 // kernels the solver stack (Krylov iterations, AMG V-cycles, smoother
-// sweeps) needs, dispatched over the storage format. Both *Matrix (CSR)
-// and *SELL implement it.
+// sweeps) needs, dispatched over the storage format and value
+// precision: *Matrix and *CSR32 (CSR), *SELL and *SELL32 (SELL-C-sigma).
 //
 // Every implementation accumulates each output row's terms in the same
 // canonical order — strict left-to-right over the row's stored entries
@@ -41,36 +41,6 @@ type Operator interface {
 
 // Dims returns the matrix shape, implementing Operator.
 func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
-
-// JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
-// in one traversal of A — the fused damped-Jacobi sweep of the AMG
-// V-cycle. src and dst must not alias (the sweep needs the full old
-// iterate; the V-cycle ping-pongs two buffers).
-func (a *Matrix) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
-	if rt.Serial(a.Rows) {
-		a.jacobiSweepRange(b, dinv, omega, src, dst, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.jacobiSweepRange(b, dinv, omega, src, dst, lo, hi)
-	})
-}
-
-// jacobiSweepRange is the fused Jacobi kernel for rows [lo, hi), with the
-// same canonical left-to-right product accumulation as spmvRange.
-func (a *Matrix) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := a.Col[start:end]
-		vals := a.Val[start:end]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * src[c]
-		}
-		dst[i] = src[i] + omega*dinv[i]*(b[i]-s)
-	}
-}
 
 // Format selects the storage layout of an Operator.
 type Format int

@@ -9,8 +9,8 @@ import (
 	"mis2go/internal/par"
 )
 
-// SELL-C-sigma: the sliced-ELLPACK operator format for the memory-bound
-// kernel core. Rows are grouped into chunks of C = 8; within a sort
+// SELL-C-sigma (Kreutzer et al., SIAM J. Sci. Comput. 2014): the
+// sliced-ELLPACK operator format for the memory-bound kernel core. Rows are grouped into chunks of C = 8; within a sort
 // scope of sigma rows, rows are stably ordered by descending length so
 // that, inside every chunk, the rows still holding an entry at column
 // position j form a prefix of the chunk's lanes. Entries are stored
@@ -39,10 +39,24 @@ import (
 // (the AMG numeric/Refresh path) is then a branch-free gather —
 // FillValues — with zero allocations.
 //
+// The layout and kernels are written once over the value storage V (see
+// csrOp): SELL and SELL32 are its float64 and float32 instantiations,
+// with identical packing, permutation and traversal, so a SELL32 is
+// bit-identical to the CSR32 of the same matrix, one precision down
+// from the SELL/CSR pair.
+//
+// Row blocks: the kernels block over rows, not chunks, so the parallel
+// split threshold is identical to the CSR kernels' — a level does not
+// need SellC times more rows before it splits across workers. A row
+// block [lo, hi) runs the chunks whose first row falls inside it;
+// consecutive blocks tile the rows, so every chunk lands in exactly
+// one block. Each kernel keeps its own serial fast path, so
+// single-worker calls build no closure and allocate nothing.
+//
 // Concurrency: like *Matrix, all kernels are read-only on the operator
 // and safe for concurrent use; FillValues mutates the packed values and
 // must be serialized against every reader.
-type SELL struct {
+type sellOp[V value] struct {
 	rows, cols int
 	sigma      int
 	perm       []int32 // lane slot -> original row; length rows
@@ -52,9 +66,15 @@ type SELL struct {
 	cntPtr     []int32 // length nchunks+1: first cnt index of chunk
 	cnt        []uint8 // per (chunk, position): active lane count
 	col        []int32 // packed column indices
-	val        []float64
+	val        []V
 	entry      []int32 // packed position -> CSR entry index (value replay)
 }
+
+// SELL is the float64-valued SELL-C-sigma operator.
+type SELL = sellOp[float64]
+
+// SELL32 is the float32-valued SELL-C-sigma operator.
+type SELL32 = sellOp[float32]
 
 // SellC is the SELL chunk size: the number of rows (lanes, independent
 // accumulators) each chunk kernel processes at once.
@@ -90,7 +110,14 @@ func CheckSigma(sigma int) error {
 // multiple of SellC, see CheckSigma). The conversion is deterministic:
 // the length sort is stable, so ties keep row order. Matrices whose
 // entry count overflows the 32-bit replay schedule are rejected.
-func NewSELL(a *Matrix, sigma int) (*SELL, error) {
+func NewSELL(a *Matrix, sigma int) (*SELL, error) { return newSELL[float64](a, sigma) }
+
+// NewSELL32 converts a CSR matrix to f32-valued SELL-C-sigma: the packing
+// of NewSELL with the values range-checked (CheckF32Range) and then
+// stored as float32.
+func NewSELL32(a *Matrix, sigma int) (*SELL32, error) { return newSELL[float32](a, sigma) }
+
+func newSELL[V value](a *Matrix, sigma int) (*sellOp[V], error) {
 	if err := CheckSigma(sigma); err != nil {
 		return nil, err
 	}
@@ -98,11 +125,14 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 		return nil, fmt.Errorf("sparse: SELL conversion of %dx%d matrix with %d entries overflows the 32-bit entry schedule",
 			a.Rows, a.Cols, len(a.Col))
 	}
+	if err := checkStore[V](a.Val); err != nil {
+		return nil, err
+	}
 	if sigma == 0 {
 		sigma = DefaultSellSigma
 	}
 	n := a.Rows
-	s := &SELL{rows: n, cols: a.Cols, sigma: sigma}
+	s := &sellOp[V]{rows: n, cols: a.Cols, sigma: sigma}
 	s.perm = make([]int32, n)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
@@ -121,7 +151,6 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 	s.full = make([]int32, nchunks)
 	s.cntPtr = make([]int32, nchunks+1)
 	s.col = make([]int32, 0, len(a.Col))
-	s.val = make([]float64, 0, len(a.Col))
 	s.entry = make([]int32, 0, len(a.Col))
 	for c := 0; c < nchunks; c++ {
 		lanes := s.perm[c*SellC : min(c*SellC+SellC, n)]
@@ -145,7 +174,6 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 				}
 				p := a.RowPtr[r] + j
 				s.col = append(s.col, a.Col[p])
-				s.val = append(s.val, a.Val[p])
 				s.entry = append(s.entry, int32(p))
 				m++
 			}
@@ -154,81 +182,91 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 	}
 	s.chunkPtr[nchunks] = int32(len(s.col))
 	s.cntPtr[nchunks] = int32(len(s.cnt))
+	s.val = make([]V, len(s.entry))
+	s.gather(a.Val)
 	return s, nil
 }
 
 // FillValues refreshes the packed values from a same-pattern CSR matrix
 // — a branch-free gather through the cached entry schedule, zero
-// allocations. Only the shape and entry count are checked here; pattern
-// identity is the caller's contract (the AMG hierarchy fingerprints it).
-func (s *SELL) FillValues(a *Matrix) error {
+// allocations. The range check runs before any store, so a rejected
+// refresh leaves the previous values serving bitwise unchanged. Only
+// the shape and entry count are checked here; pattern identity is the
+// caller's contract (the AMG hierarchy fingerprints it).
+func (s *sellOp[V]) FillValues(a *Matrix) error {
 	if a.Rows != s.rows || a.Cols != s.cols || len(a.Val) != len(s.val) {
-		return fmt.Errorf("sparse: SELL refresh from %dx%d/%d entries, converted from %dx%d/%d",
-			a.Rows, a.Cols, len(a.Val), s.rows, s.cols, len(s.val))
+		return fmt.Errorf("sparse: %v SELL refresh from %dx%d/%d entries, converted from %dx%d/%d",
+			precisionOf[V](), a.Rows, a.Cols, len(a.Val), s.rows, s.cols, len(s.val))
 	}
-	av := a.Val
-	for p, e := range s.entry {
-		s.val[p] = av[e]
+	if err := checkStore[V](a.Val); err != nil {
+		return err
 	}
+	s.gather(a.Val)
 	return nil
 }
 
+// gather stores the CSR values vals (range-checked) into the packed
+// positions through the entry schedule.
+func (s *sellOp[V]) gather(vals []float64) {
+	for p, e := range s.entry {
+		s.val[p] = V(vals[e])
+	}
+}
+
 // Dims returns the operator shape, implementing Operator.
-func (s *SELL) Dims() (rows, cols int) { return s.rows, s.cols }
+func (s *sellOp[V]) Dims() (rows, cols int) { return s.rows, s.cols }
 
 // NNZ returns the number of stored entries.
-func (s *SELL) NNZ() int { return len(s.col) }
+func (s *sellOp[V]) NNZ() int { return len(s.col) }
 
 // Sigma reports the sort scope the operator was converted with.
-func (s *SELL) Sigma() int { return s.sigma }
-
-// nchunks returns the chunk count.
-func (s *SELL) nchunks() int { return len(s.width) }
+func (s *sellOp[V]) Sigma() int { return s.sigma }
 
 // chunkAccum computes the row products of chunk c: accumulator l holds
 // the dot product of lane l's row with x, each accumulated strictly left
-// to right (the canonical per-row order shared with the CSR kernels).
-// The full-lane prefix of positions runs an unrolled two-position step
-// with eight independent dependency chains; trailing positions walk the
+// to right in float64 (the canonical per-row order shared with the CSR
+// kernels; each stored value widened before its multiply). The
+// full-lane prefix of positions runs an unrolled two-position step with
+// eight independent dependency chains; trailing positions walk the
 // per-position lane counts, which descend within the chunk.
 //
 //amg:hotpath
-func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 float64) {
+func (s *sellOp[V]) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 float64) {
 	col, val := s.col, s.val
 	p := int(s.chunkPtr[c])
 	f := int(s.full[c])
 	for j := 0; j+2 <= f; j += 2 {
 		cb := col[p : p+16 : p+16]
 		vb := val[p : p+16 : p+16]
-		a0 += vb[0] * x[cb[0]]
-		a0 += vb[8] * x[cb[8]]
-		a1 += vb[1] * x[cb[1]]
-		a1 += vb[9] * x[cb[9]]
-		a2 += vb[2] * x[cb[2]]
-		a2 += vb[10] * x[cb[10]]
-		a3 += vb[3] * x[cb[3]]
-		a3 += vb[11] * x[cb[11]]
-		a4 += vb[4] * x[cb[4]]
-		a4 += vb[12] * x[cb[12]]
-		a5 += vb[5] * x[cb[5]]
-		a5 += vb[13] * x[cb[13]]
-		a6 += vb[6] * x[cb[6]]
-		a6 += vb[14] * x[cb[14]]
-		a7 += vb[7] * x[cb[7]]
-		a7 += vb[15] * x[cb[15]]
+		a0 += float64(vb[0]) * x[cb[0]]
+		a0 += float64(vb[8]) * x[cb[8]]
+		a1 += float64(vb[1]) * x[cb[1]]
+		a1 += float64(vb[9]) * x[cb[9]]
+		a2 += float64(vb[2]) * x[cb[2]]
+		a2 += float64(vb[10]) * x[cb[10]]
+		a3 += float64(vb[3]) * x[cb[3]]
+		a3 += float64(vb[11]) * x[cb[11]]
+		a4 += float64(vb[4]) * x[cb[4]]
+		a4 += float64(vb[12]) * x[cb[12]]
+		a5 += float64(vb[5]) * x[cb[5]]
+		a5 += float64(vb[13]) * x[cb[13]]
+		a6 += float64(vb[6]) * x[cb[6]]
+		a6 += float64(vb[14]) * x[cb[14]]
+		a7 += float64(vb[7]) * x[cb[7]]
+		a7 += float64(vb[15]) * x[cb[15]]
 		p += 16
 	}
 	if f&1 == 1 {
 		cb := col[p : p+8 : p+8]
 		vb := val[p : p+8 : p+8]
-		a0 += vb[0] * x[cb[0]]
-		a1 += vb[1] * x[cb[1]]
-		a2 += vb[2] * x[cb[2]]
-		a3 += vb[3] * x[cb[3]]
-		a4 += vb[4] * x[cb[4]]
-		a5 += vb[5] * x[cb[5]]
-		a6 += vb[6] * x[cb[6]]
-		a7 += vb[7] * x[cb[7]]
+		a0 += float64(vb[0]) * x[cb[0]]
+		a1 += float64(vb[1]) * x[cb[1]]
+		a2 += float64(vb[2]) * x[cb[2]]
+		a3 += float64(vb[3]) * x[cb[3]]
+		a4 += float64(vb[4]) * x[cb[4]]
+		a5 += float64(vb[5]) * x[cb[5]]
+		a6 += float64(vb[6]) * x[cb[6]]
+		a7 += float64(vb[7]) * x[cb[7]]
 		p += 8
 	}
 	if w := int(s.width[c]); f < w {
@@ -238,30 +276,30 @@ func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 fl
 			// Active lanes are a prefix; past the full positions the count
 			// is at most SellC-1 (and at least 1, or the width would end).
 			m := cnt[base+j]
-			a0 += val[p] * x[col[p]]
+			a0 += float64(val[p]) * x[col[p]]
 			p++
 			if m > 1 {
-				a1 += val[p] * x[col[p]]
+				a1 += float64(val[p]) * x[col[p]]
 				p++
 			}
 			if m > 2 {
-				a2 += val[p] * x[col[p]]
+				a2 += float64(val[p]) * x[col[p]]
 				p++
 			}
 			if m > 3 {
-				a3 += val[p] * x[col[p]]
+				a3 += float64(val[p]) * x[col[p]]
 				p++
 			}
 			if m > 4 {
-				a4 += val[p] * x[col[p]]
+				a4 += float64(val[p]) * x[col[p]]
 				p++
 			}
 			if m > 5 {
-				a5 += val[p] * x[col[p]]
+				a5 += float64(val[p]) * x[col[p]]
 				p++
 			}
 			if m > 6 {
-				a6 += val[p] * x[col[p]]
+				a6 += float64(val[p]) * x[col[p]]
 				p++
 			}
 		}
@@ -269,38 +307,26 @@ func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 fl
 	return
 }
 
-// chunkRange maps a row block [lo, hi) from the runtime's blocking to
-// the chunks whose first row falls inside it. Consecutive row blocks
-// tile the rows, so every chunk lands in exactly one block; blocking
-// over rows (not chunks) keeps the parallel split threshold identical
-// to the CSR kernels — a level does not need SellC times more rows
-// before it splits across workers. Each kernel keeps its own serial
-// fast path so single-worker calls build no closure and allocate
-// nothing.
-//
-//amg:hotpath
-func chunkRange(lo, hi int) (c0, c1 int) {
-	return (lo + SellC - 1) / SellC, (hi + SellC - 1) / SellC
-}
-
 // SpMV computes y = A*x, parallel over chunks. Bit-identical to the CSR
-// SpMV of the source matrix for every worker count.
+// SpMV of the source matrix at the same precision, for every worker
+// count.
 //
 //amg:hotpath
-func (s *SELL) SpMV(rt *par.Runtime, x, y []float64) {
+func (s *sellOp[V]) SpMV(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(s.rows) {
-		s.spmvChunks(x, y, 0, s.nchunks())
+		s.spmvChunks(x, y, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvChunks(x, y, c0, c1)
+		s.spmvChunks(x, y, lo, hi)
 	})
 }
 
+// spmvChunks runs the chunks of the row block [lo, hi).
+//
 //amg:hotpath
-func (s *SELL) spmvChunks(x, y []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
+func (s *sellOp[V]) spmvChunks(x, y []float64, lo, hi int) {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
 		if slot+SellC <= s.rows {
@@ -325,21 +351,19 @@ func (s *SELL) spmvChunks(x, y []float64, c0, c1 int) {
 // SpMVResidual computes r = b - A*x in one traversal. r must not alias x.
 //
 //amg:hotpath
-func (s *SELL) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
+func (s *sellOp[V]) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
 	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.spmvResidualChunks(b, x, r, c0, c1)
+		s.spmvResidualChunks(b, x, r, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvResidualChunks(b, x, r, c0, c1)
+		s.spmvResidualChunks(b, x, r, lo, hi)
 	})
 }
 
 //amg:hotpath
-func (s *SELL) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
+func (s *sellOp[V]) spmvResidualChunks(b, x, r []float64, lo, hi int) {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
 		if slot+SellC <= s.rows {
@@ -364,21 +388,19 @@ func (s *SELL) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
 // SpMVAdd computes y += A*x in one traversal. y must not alias x.
 //
 //amg:hotpath
-func (s *SELL) SpMVAdd(rt *par.Runtime, x, y []float64) {
+func (s *sellOp[V]) SpMVAdd(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.spmvAddChunks(x, y, c0, c1)
+		s.spmvAddChunks(x, y, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvAddChunks(x, y, c0, c1)
+		s.spmvAddChunks(x, y, lo, hi)
 	})
 }
 
 //amg:hotpath
-func (s *SELL) spmvAddChunks(x, y []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
+func (s *sellOp[V]) spmvAddChunks(x, y []float64, lo, hi int) {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
 		if slot+SellC <= s.rows {
@@ -401,25 +423,24 @@ func (s *SELL) spmvAddChunks(x, y []float64, c0, c1 int) {
 }
 
 // JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
-// in one traversal — the fused damped-Jacobi sweep, bit-identical to
-// Matrix.JacobiSweep. src and dst must not alias.
+// in one traversal — the fused damped-Jacobi sweep, bit-identical to the
+// CSR JacobiSweep at the same precision. The diagonal inverse stays
+// float64. src and dst must not alias.
 //
 //amg:hotpath
-func (s *SELL) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
+func (s *sellOp[V]) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
 	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.jacobiChunks(b, dinv, omega, src, dst, c0, c1)
+		s.jacobiChunks(b, dinv, omega, src, dst, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.jacobiChunks(b, dinv, omega, src, dst, c0, c1)
+		s.jacobiChunks(b, dinv, omega, src, dst, lo, hi)
 	})
 }
 
 //amg:hotpath
-func (s *SELL) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
+func (s *sellOp[V]) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(src, c)
 		slot := c * SellC
 		if slot+SellC <= s.rows {
@@ -446,25 +467,24 @@ func (s *SELL) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64
 // accumulated in stored-entry order, matching the CSR kernels bitwise.
 //
 //amg:hotpath
-func (s *SELL) SpMM(rt *par.Runtime, k int, x, y []float64) {
+func (s *sellOp[V]) SpMM(rt *par.Runtime, k int, x, y []float64) {
 	if k == 1 {
 		s.SpMV(rt, x, y)
 		return
 	}
 	if rt.Serial(s.rows) {
-		s.spmmChunks(k, x, y, 0, s.nchunks())
+		s.spmmChunks(k, x, y, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmmChunks(k, x, y, c0, c1)
+		s.spmmChunks(k, x, y, lo, hi)
 	})
 }
 
 //amg:hotpath
-func (s *SELL) spmmChunks(k int, x, y []float64, c0, c1 int) {
+func (s *sellOp[V]) spmmChunks(k int, x, y []float64, lo, hi int) {
 	col, val, cnt := s.col, s.val, s.cnt
-	for c := c0; c < c1; c++ {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		slot := c * SellC
 		lanes := s.perm[slot:min(slot+SellC, s.rows)]
 		for _, row := range lanes {
@@ -480,7 +500,7 @@ func (s *SELL) spmmChunks(k int, x, y []float64, c0, c1 int) {
 				m = int(cnt[base+j])
 			}
 			for _, row := range lanes[:m] {
-				v := val[p]
+				v := float64(val[p])
 				xb := x[int(col[p])*k : int(col[p])*k+k]
 				yb := y[int(row)*k : int(row)*k+k]
 				for q, xv := range xb {
@@ -493,25 +513,23 @@ func (s *SELL) spmmChunks(k int, x, y []float64, c0, c1 int) {
 }
 
 // DiagonalInto fills d with the diagonal entries (zero where absent),
-// parallel over chunks.
+// widened to float64, parallel over chunks.
 //
 //amg:hotpath
-func (s *SELL) DiagonalInto(rt *par.Runtime, d []float64) {
+func (s *sellOp[V]) DiagonalInto(rt *par.Runtime, d []float64) {
 	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.diagonalChunks(d, c0, c1)
+		s.diagonalChunks(d, 0, s.rows)
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.diagonalChunks(d, c0, c1)
+		s.diagonalChunks(d, lo, hi)
 	})
 }
 
 //amg:hotpath
-func (s *SELL) diagonalChunks(d []float64, c0, c1 int) {
+func (s *sellOp[V]) diagonalChunks(d []float64, lo, hi int) {
 	col, val, cnt := s.col, s.val, s.cnt
-	for c := c0; c < c1; c++ {
+	for c := (lo + SellC - 1) / SellC; c*SellC < hi; c++ {
 		slot := c * SellC
 		lanes := s.perm[slot:min(slot+SellC, s.rows)]
 		for _, row := range lanes {
@@ -528,7 +546,7 @@ func (s *SELL) diagonalChunks(d []float64, c0, c1 int) {
 			}
 			for _, row := range lanes[:m] {
 				if col[p] == row {
-					d[row] = val[p]
+					d[row] = float64(val[p])
 				}
 				p++
 			}
