@@ -10,6 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -146,7 +147,7 @@ func (g *CSR) sortDedupe() {
 	for v := 0; v < g.N; v++ {
 		lo, hi := g.RowPtr[v], g.RowPtr[v+1]
 		adj := g.Col[lo:hi]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 		start := out
 		for i, w := range adj {
 			if i > 0 && adj[i-1] == w {
@@ -199,7 +200,7 @@ func (g *CSR) Square() *CSR {
 			}
 		}
 		adj := col[rowPtr[v]:k]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 	}
 	return &CSR{N: n, RowPtr: rowPtr, Col: col}
 }

@@ -11,11 +11,11 @@
 // scratch comes from the worker arenas).
 //
 // Every replay is bitwise identical to the corresponding one-shot kernel
-// (Multiply, Transpose, SmoothProlongator, RAP): the per-row accumulation
-// order is the same, and gathering through the pre-sorted pattern visits
-// entries in exactly the order the one-shot kernel writes them after its
-// row sort. Replays are deterministic for any worker count, and a plan
-// built at one worker count replays identically at any other.
+// (Multiply, Transpose, SmoothProlongator, RAP): every output entry sums
+// its contributions in the same order, and the cached row-sorted pattern
+// holds each entry where the one-shot kernel writes it after its row
+// sort. Replays are deterministic for any worker count, and a plan built
+// at one worker count replays identically at any other.
 package sparse
 
 import (
@@ -40,20 +40,32 @@ type ProductPlan struct {
 	aFP, bFP            uint64
 	ptr                 []int
 	col                 []int32
-	// The gather schedule: output entry k is the sum of
-	// a.Val[aIdx[t]]*b.Val[bIdx[t]] for t in [entryPtr[k], entryPtr[k+1]),
-	// accumulated in stored order — exactly the order Gustavson's fused
-	// kernel touches those contributions, so a schedule replay is bitwise
-	// identical to it while running branch-free with no accumulator
-	// scratch. nil (falling back to the mark/acc replay) when an index
-	// would overflow int32.
-	entryPtr   []int
-	aIdx, bIdx []int32
+	// The scatter schedule: the f-th multiply-add of Gustavson's fused
+	// traversal (rows of A in order, each A entry expanded over its B
+	// row) lands in output entry dst[f]; row i's multiply-adds are
+	// [flopPtr[i], flopPtr[i+1]). Replaying that stream visits every
+	// output entry's contributions in exactly the order the fused kernel
+	// accumulates them, so it is bitwise identical to Multiply with no
+	// mark checks and no accumulator scratch. flopPtr is nil (falling
+	// back to the mark/acc replay) when an entry index would overflow
+	// int32 or the flop count exceeds the memory bound.
+	flopPtr []int
+	dst     []int32
 }
 
+// maxScheduleFlopsFactor bounds the scatter schedule's memory: the
+// schedule stores 4 bytes per multiply-add, so a product whose flop
+// count exceeds this multiple of the combined operand/result sizes
+// (dense-ish rows, far outside the mesh/Galerkin regime the schedule
+// targets) would let the plan dwarf the matrices it serves. Such plans
+// fall back to the mark/acc replay, which is bitwise identical.
+const maxScheduleFlopsFactor = 8
+
 // PlanMultiply computes the pattern of C = A*B (Gustavson's mark phase:
-// count, scan, then collect-and-sort each output row) and returns the
-// reusable plan. Only the operand patterns are read, never the values.
+// count, scan, then collect-and-sort each output row) and, in the same
+// per-row fill pass, the scatter schedule. Only the operand patterns are
+// read, never the values. Rows own contiguous pattern and schedule
+// ranges, so the plan is the same for any worker count.
 func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -67,12 +79,33 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 	counts := par.Get[int](car, a.Rows)
 	countProductRows(rt, a, b, counts)
 	nnz := par.ScanExclusive(rt, counts, pl.ptr)
+	// Multiply-adds per row: the lengths of the B rows its A entries
+	// select (O(nnz(A)), no B traversal).
+	rt.For(a.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f := 0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				f += b.RowPtr[a.Col[p]+1] - b.RowPtr[a.Col[p]]
+			}
+			counts[i] = f
+		}
+	})
+	flopPtr := make([]int, a.Rows+1)
+	flops := par.ScanExclusive(rt, counts, flopPtr)
 	par.Put(car, counts)
 	par.ReleaseArena(car)
+	if nnz <= math.MaxInt32 && flops <= maxScheduleFlopsFactor*(len(a.Col)+len(b.Col)+nnz) {
+		pl.flopPtr = flopPtr
+		pl.dst = make([]int32, flops)
+	}
 	pl.col = make([]int32, nnz)
 
 	// Fill pass: collect each output row's pattern and sort it, so every
-	// numeric replay can gather through it without sorting.
+	// replay writes entries in sorted order without sorting. With a
+	// schedule, one row-local re-walk then records each multiply-add's
+	// entry index: mark[j] temporarily holds ^k for column j's entry k.
+	// Complemented indices are negative, so they never match a later
+	// row's stamp and need no clearing.
 	par.ForWith(rt, a.Rows,
 		func(ar *par.Arena) []int32 {
 			mark := par.Get[int32](ar, b.Cols)
@@ -97,121 +130,24 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 					}
 				}
 				sortRow(pl.col[base:k])
+				if pl.flopPtr == nil {
+					continue
+				}
+				for e := base; e < k; e++ {
+					mark[pl.col[e]] = ^int32(e)
+				}
+				f := pl.flopPtr[i]
+				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+					row := a.Col[p]
+					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
+						pl.dst[f] = ^mark[b.Col[q]]
+						f++
+					}
+				}
 			}
 		},
 		func(ar *par.Arena, mark []int32) { par.Put(ar, mark) })
-	pl.buildSchedule(rt, a, b)
 	return pl, nil
-}
-
-// maxScheduleFlopsFactor bounds the gather schedule's memory: the
-// schedule stores 8 bytes per multiply-add, so a product whose flop
-// count exceeds this multiple of the combined operand/result sizes
-// (dense-ish rows, far outside the mesh/Galerkin regime the schedule
-// targets) would let the plan dwarf the matrices it serves. Such plans
-// fall back to the mark/acc replay, which is bitwise identical.
-const maxScheduleFlopsFactor = 8
-
-// buildSchedule records, for every output entry, its (aIdx, bIdx)
-// contribution pairs in the exact order the fused Gustavson kernel
-// accumulates them: per row, A entries in order, each expanded over its
-// B row. Rows own contiguous entry ranges, so both passes parallelize
-// over rows with disjoint writes (deterministic for any worker count,
-// and independent of the planning worker count). Skipped when any index
-// would overflow the int32 schedule storage or the flop count exceeds
-// the memory bound.
-func (pl *ProductPlan) buildSchedule(rt *par.Runtime, a, b *Matrix) {
-	nnz := len(pl.col)
-	if len(a.Val) > math.MaxInt32 || len(b.Val) > math.MaxInt32 {
-		return
-	}
-	pl.entryPtr = make([]int, nnz+1)
-	car := par.AcquireArena()
-	counts := par.Get[int](car, nnz)
-	// Pass 1: contributions per output entry. pos maps a column to its
-	// entry index within the current row (only the row's own columns are
-	// read back, so no clearing between rows is needed).
-	par.ForWith(rt, pl.aRows,
-		func(ar *par.Arena) []int32 {
-			return par.Get[int32](ar, pl.bCols)
-		},
-		func(lo, hi int, pos []int32) {
-			for i := lo; i < hi; i++ {
-				for k := pl.ptr[i]; k < pl.ptr[i+1]; k++ {
-					pos[pl.col[k]] = int32(k - pl.ptr[i])
-					counts[k] = 0
-				}
-				base := pl.ptr[i]
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
-						counts[base+int(pos[b.Col[q]])]++
-					}
-				}
-			}
-		},
-		func(ar *par.Arena, pos []int32) { par.Put(ar, pos) })
-	total := par.ScanExclusive(rt, counts, pl.entryPtr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
-	if total > math.MaxInt32 || total > maxScheduleFlopsFactor*(len(a.Col)+len(b.Col)+nnz) {
-		pl.entryPtr = nil
-		return
-	}
-	pl.aIdx = make([]int32, total)
-	pl.bIdx = make([]int32, total)
-	// Pass 2: write the pairs through per-entry cursors (row-owned, so
-	// the cursor array needs no synchronization).
-	par.ForWith(rt, pl.aRows,
-		func(ar *par.Arena) scheduleScratch {
-			return scheduleScratch{
-				pos: par.Get[int32](ar, pl.bCols),
-				cur: par.Get[int](ar, maxRowNNZ(pl.ptr, pl.aRows)),
-			}
-		},
-		func(lo, hi int, s scheduleScratch) {
-			for i := lo; i < hi; i++ {
-				base := pl.ptr[i]
-				for k := base; k < pl.ptr[i+1]; k++ {
-					s.pos[pl.col[k]] = int32(k - base)
-					s.cur[k-base] = pl.entryPtr[k]
-				}
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
-						e := s.pos[b.Col[q]]
-						t := s.cur[e]
-						pl.aIdx[t] = int32(p)
-						pl.bIdx[t] = int32(q)
-						s.cur[e] = t + 1
-					}
-				}
-			}
-		},
-		func(ar *par.Arena, s scheduleScratch) {
-			par.Put(ar, s.pos)
-			par.Put(ar, s.cur)
-		})
-}
-
-// scheduleScratch is the per-participant state of the schedule fill
-// pass: the column→entry position map and the per-entry write cursors
-// of the current row.
-type scheduleScratch struct {
-	pos []int32
-	cur []int
-}
-
-// maxRowNNZ returns the largest output-row length, sizing the per-row
-// cursor scratch.
-func maxRowNNZ(ptr []int, rows int) int {
-	m := 0
-	for i := 0; i < rows; i++ {
-		if l := ptr[i+1] - ptr[i]; l > m {
-			m = l
-		}
-	}
-	return m
 }
 
 // NNZ returns the number of stored entries of the planned product.
@@ -273,13 +209,13 @@ func (pl *ProductPlan) checkShapes(a, b, c *Matrix) error {
 
 // numeric is the unchecked replay, used internally where the operands
 // are plan-owned and the checks would be redundant per-call cost. With a
-// gather schedule the replay is a branch-free multiply-add stream over
-// the cached (aIdx, bIdx) pairs; otherwise it falls back to the mark/acc
+// scatter schedule the replay is a branch-free multiply-add stream into
+// the cached entry indices; otherwise it falls back to the mark/acc
 // accumulation. Both paths are bitwise identical to Multiply.
 //
 //amg:hotpath
 func (pl *ProductPlan) numeric(rt *par.Runtime, a, b, c *Matrix) {
-	if pl.entryPtr != nil {
+	if pl.flopPtr != nil {
 		if rt.Serial(pl.aRows) {
 			pl.scheduleRange(a, b, c, 0, pl.aRows)
 			return
@@ -322,24 +258,31 @@ func (pl *ProductPlan) numeric(rt *par.Runtime, a, b, c *Matrix) {
 		})
 }
 
-// scheduleRange replays rows [lo, hi) through the gather schedule: each
-// output entry sums its cached contribution pairs in stored order. The
-// first pair initializes the accumulator (not 0 + x, preserving the
-// fused kernel's first-touch semantics bit for bit, signed zeros
-// included); every entry has at least one pair by construction.
+// scheduleRange replays rows [lo, hi) through the scatter schedule. The
+// rows' entries start at -0, the IEEE additive identity (-0 + x == x bit
+// for bit, signed zeros included), so adding each multiply-add into
+// c.Val[dst[f]] in traversal order reproduces the fused kernel's
+// first-touch accumulation exactly; every entry has at least one
+// multiply-add by construction.
 //
 //amg:hotpath
 func (pl *ProductPlan) scheduleRange(a, b, c *Matrix, lo, hi int) {
-	ep := pl.entryPtr
-	ai, bi := pl.aIdx, pl.bIdx
-	av, bv := a.Val, b.Val
-	for k := pl.ptr[lo]; k < pl.ptr[hi]; k++ {
-		s, e := ep[k], ep[k+1]
-		acc := av[ai[s]] * bv[bi[s]]
-		for t := s + 1; t < e; t++ {
-			acc += av[ai[t]] * bv[bi[t]]
+	val := c.Val[pl.ptr[lo]:pl.ptr[hi]]
+	negZero := math.Copysign(0, -1)
+	for k := range val {
+		val[k] = negZero
+	}
+	dst := pl.dst[pl.flopPtr[lo]:pl.flopPtr[hi]]
+	f := 0
+	for p := a.RowPtr[lo]; p < a.RowPtr[hi]; p++ {
+		ak := a.Val[p]
+		row := a.Col[p]
+		bv := b.Val[b.RowPtr[row]:b.RowPtr[row+1]]
+		d := dst[f : f+len(bv)]
+		for t, x := range bv {
+			c.Val[d[t]] += ak * x
 		}
-		c.Val[k] = acc
+		f += len(bv)
 	}
 }
 

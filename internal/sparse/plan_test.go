@@ -1,12 +1,14 @@
 package sparse
 
 import (
+	"math"
 	"testing"
 
 	"mis2go/internal/par"
 )
 
-// matricesEqual reports bitwise equality of pattern and values.
+// matricesEqual requires identical patterns and bit-identical values
+// (so -0 and +0 differ).
 func matricesEqual(t *testing.T, label string, got, want *Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -24,7 +26,7 @@ func matricesEqual(t *testing.T, label string, got, want *Matrix) {
 		if got.Col[p] != want.Col[p] {
 			t.Fatalf("%s: Col[%d]=%d, want %d", label, p, got.Col[p], want.Col[p])
 		}
-		if got.Val[p] != want.Val[p] {
+		if math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
 			t.Fatalf("%s: Val[%d]=%v, want %v (not bitwise identical)", label, p, got.Val[p], want.Val[p])
 		}
 	}
@@ -219,5 +221,131 @@ func TestPlanReplayDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		matricesEqual(t, "cross-worker product replay", c, ref)
+	}
+}
+
+// denseRows returns a rows x cols matrix with every entry stored, valued
+// by val(i, j).
+func denseRows(rows, cols int, val func(i, j int) float64) *Matrix {
+	m := &Matrix{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			m.Col = append(m.Col, int32(j))
+			m.Val = append(m.Val, val(i, j))
+		}
+		m.RowPtr[i+1] = len(m.Col)
+	}
+	return m
+}
+
+// checkProductReplays plans a*b at each worker count, requires the plan
+// to take (or not take) the scatter schedule, and checks Numeric and
+// Replay bitwise — signed zeros included — against Multiply at every
+// worker count.
+func checkProductReplays(t *testing.T, label string, a, b *Matrix, wantSchedule bool) {
+	t.Helper()
+	want, err := Multiply(par.New(1), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pw := range planWorkerCounts {
+		pl, err := PlanMultiply(par.New(pw), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.flopPtr != nil; got != wantSchedule {
+			t.Fatalf("%s: plan has scatter schedule = %v, want %v", label, got, wantSchedule)
+		}
+		for _, rw := range planWorkerCounts {
+			rt := par.New(rw)
+			c := pl.NewMatrix()
+			if err := pl.Numeric(rt, a, b, c); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, label+"/Numeric", c, want)
+			if err := pl.Replay(rt, a, b, c); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, label+"/Replay", c, want)
+		}
+	}
+}
+
+// TestProductPlanFallbackMatchesMultiply covers the mark/acc replay: a
+// product of dense rows by dense columns does far more multiply-adds
+// than maxScheduleFlopsFactor allows per stored operand/result entry,
+// so the plan must skip the scatter schedule and still replay bitwise.
+// Rows past 1024 make the replay split at 2 and 8 workers.
+func TestProductPlanFallbackMatchesMultiply(t *testing.T) {
+	a := denseRows(1100, 30, func(i, j int) float64 { return float64((i*7+j*3)%13-6) / 5 })
+	b := denseRows(30, 60, func(i, j int) float64 { return float64((i*5+j*11)%17-8) / 3 })
+	// Empty rows in A exercise the fallback's row bookkeeping.
+	for i := 0; i < a.Rows; i += 9 {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			a.Val[p] = 0
+		}
+	}
+	checkProductReplays(t, "fallback", a, b, false)
+	checkProductReplays(t, "fallback/perturbed", perturb(a, 3), perturb(b, 8), false)
+}
+
+// TestPlanReplayPreservesSignedZeros pins the signed-zero contract the
+// scatter schedule's -0 initialization relies on: an entry whose every
+// contribution is -0 stays -0, one that mixes +0 and -0 becomes +0, and
+// ±0 added to a nonzero leaves it unchanged — on the schedule path and
+// the fallback path, at every worker count.
+func TestPlanReplayPreservesSignedZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// parity makes A(i,k)*B(k,j) = -0 exactly when i+j is odd, for every
+	// k: whole entries of -0 products. hashed mixes the signs within an
+	// entry. signed adds ±1 values, so zeros meet nonzeros.
+	parity := func(i, j int) float64 { return [...]float64{0, negZero}[(i+j)%2] }
+	hashed := func(i, j int) float64 { return [...]float64{0, negZero, negZero}[(i*7+j*13+i*j)%3] }
+	signed := func(i, j int) float64 { return [...]float64{0, negZero, 1, -1}[(i+2*j)%4] }
+	// band is a tridiagonal-shaped matrix: few contributions per entry,
+	// well inside the schedule's flop bound.
+	band := func(rows, cols int, val func(i, j int) float64) *Matrix {
+		m := &Matrix{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+		for i := 0; i < rows; i++ {
+			for j := max(i-1, 0); j <= min(i+1, cols-1); j++ {
+				m.Col = append(m.Col, int32(j))
+				m.Val = append(m.Val, val(i, j))
+			}
+			m.RowPtr[i+1] = len(m.Col)
+		}
+		return m
+	}
+	const n = 1300
+	cases := []struct {
+		label              string
+		a, b               *Matrix
+		schedule           bool
+		negZeros, posZeros bool // the product must hold -0 / +0 entries
+	}{
+		{"schedule/parity", band(n, n, parity), band(n, n, parity), true, true, true},
+		{"schedule/hashed", band(n, n, hashed), band(n, n, hashed), true, true, true},
+		{"schedule/signed", band(n, n, signed), band(n, n, hashed), true, false, false},
+		{"fallback/parity", denseRows(1100, 30, parity), denseRows(30, 60, parity), false, true, true},
+		{"fallback/hashed", denseRows(1100, 30, hashed), denseRows(30, 60, hashed), false, false, true},
+		{"fallback/signed", denseRows(1100, 30, signed), denseRows(30, 60, hashed), false, false, false},
+	}
+	for _, tc := range cases {
+		want, err := Multiply(par.New(1), tc.a, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		neg, pos := 0, 0
+		for _, v := range want.Val {
+			switch {
+			case v == 0 && math.Signbit(v):
+				neg++
+			case v == 0:
+				pos++
+			}
+		}
+		if tc.negZeros && neg == 0 || tc.posZeros && pos == 0 {
+			t.Fatalf("%s: product holds %d -0 and %d +0 entries, the case tests nothing", tc.label, neg, pos)
+		}
+		checkProductReplays(t, tc.label, tc.a, tc.b, tc.schedule)
 	}
 }

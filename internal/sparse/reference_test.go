@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mis2go/internal/par"
@@ -254,4 +257,251 @@ func TestFillValuesMatchesNaiveReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The plan half of the differential suite replays every cached SpGEMM
+// plan on seeded random matrices and compares it bitwise with naive
+// first-touch row loops written here: an output entry starts as the
+// first product that reaches it (not 0 + product) and adds the rest in
+// traversal order (rows of the left operand in order, each entry
+// expanded over its right-operand row); rows come out in column order.
+
+// refRowProducts accumulates row i of (scale_i*A)*B by the naive rule
+// into a column map, where scale is nil for a plain product.
+func refRowProducts(a, b *Matrix, scale []float64, i int) map[int32]float64 {
+	row := map[int32]float64{}
+	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+		ak := a.Val[p]
+		if scale != nil {
+			ak = scale[i] * ak
+		}
+		k := a.Col[p]
+		for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
+			j := b.Col[q]
+			if s, ok := row[j]; ok {
+				row[j] = s + ak*b.Val[q]
+			} else {
+				row[j] = ak * b.Val[q]
+			}
+		}
+	}
+	return row
+}
+
+// refProduct is the naive A*B.
+func refProduct(a, b *Matrix) *Matrix {
+	c := &Matrix{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		row := refRowProducts(a, b, nil, i)
+		for _, j := range slices.Sorted(maps.Keys(row)) {
+			c.Col = append(c.Col, j)
+			c.Val = append(c.Val, row[j])
+		}
+		c.RowPtr[i+1] = len(c.Col)
+	}
+	return c
+}
+
+// refTranspose is the naive A^T: column buckets filled in row order.
+func refTranspose(a *Matrix) *Matrix {
+	cols := make([][]int32, a.Cols)
+	vals := make([][]float64, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.Col[p]
+			cols[j] = append(cols[j], int32(i))
+			vals[j] = append(vals[j], a.Val[p])
+		}
+	}
+	t := &Matrix{Rows: a.Cols, Cols: a.Rows, RowPtr: make([]int, a.Cols+1)}
+	for j := range cols {
+		t.Col = append(t.Col, cols[j]...)
+		t.Val = append(t.Val, vals[j]...)
+		t.RowPtr[j+1] = len(t.Col)
+	}
+	return t
+}
+
+// refSmooth is the naive (I - omega*D^{-1}*A)*P0: the product row of
+// D^{-1}A*P0 by the naive rule, united with the P0 row; an entry in
+// both is p0 + -omega*product.
+func refSmooth(a, p0 *Matrix, dinv []float64, omega float64) *Matrix {
+	c := &Matrix{Rows: a.Rows, Cols: p0.Cols, RowPtr: make([]int, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		prod := refRowProducts(a, p0, dinv, i)
+		p0Row := map[int32]float64{}
+		for q := p0.RowPtr[i]; q < p0.RowPtr[i+1]; q++ {
+			p0Row[p0.Col[q]] = p0.Val[q]
+		}
+		union := slices.Sorted(maps.Keys(prod))
+		for j := range p0Row {
+			if _, ok := prod[j]; !ok {
+				union = append(union, j)
+			}
+		}
+		slices.Sort(union)
+		for _, j := range union {
+			pv, inProd := prod[j]
+			qv, inP0 := p0Row[j]
+			v := qv
+			switch {
+			case inProd && inP0:
+				v = qv + -omega*pv
+			case inProd:
+				v = -omega * pv
+			}
+			c.Col = append(c.Col, j)
+			c.Val = append(c.Val, v)
+		}
+		c.RowPtr[i+1] = len(c.Col)
+	}
+	return c
+}
+
+// seededSparse returns a rows x cols matrix with 0..maxRow entries per
+// row at distinct random columns, so about one row in maxRow+1 is
+// empty; one value in 16 is a signed zero.
+func seededSparse(rng *rand.Rand, rows, cols, maxRow int) *Matrix {
+	m := &Matrix{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for i := 0; i < rows; i++ {
+		picked := map[int32]bool{}
+		for k := min(rng.Intn(maxRow+1), cols); len(picked) < k; {
+			picked[int32(rng.Intn(cols))] = true
+		}
+		for _, j := range slices.Sorted(maps.Keys(picked)) {
+			v := rng.NormFloat64()
+			switch rng.Intn(32) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			}
+			m.Col = append(m.Col, j)
+			m.Val = append(m.Val, v)
+		}
+		m.RowPtr[i+1] = len(m.Col)
+	}
+	return m
+}
+
+// keepRows returns a copy of m in which only every k-th row keeps its
+// entries.
+func keepRows(m *Matrix, k int) *Matrix {
+	out := &Matrix{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
+	for i := 0; i < m.Rows; i++ {
+		if i%k == 0 {
+			out.Col = append(out.Col, m.Col[m.RowPtr[i]:m.RowPtr[i+1]]...)
+			out.Val = append(out.Val, m.Val[m.RowPtr[i]:m.RowPtr[i+1]]...)
+		}
+		out.RowPtr[i+1] = len(out.Col)
+	}
+	return out
+}
+
+// refPlanCases are the differential plan inputs, C = A*B: products
+// large enough to split over 8 workers with empty rows on both sides, a
+// B with mostly empty rows (empty output rows whose A row is not), an
+// empty product, a zero-row product, and dense rows that take the
+// mark/acc fallback instead of the scatter schedule.
+func refPlanCases() map[string][2]*Matrix {
+	rng := rand.New(rand.NewSource(1307))
+	n := 4700
+	empty := &Matrix{Rows: 0, Cols: 0, RowPtr: []int{0}}
+	normal := func(int, int) float64 { return rng.NormFloat64() }
+	return map[string][2]*Matrix{
+		"random":       {seededSparse(rng, n, n, 8), seededSparse(rng, n, 900, 3)},
+		"sparseB":      {seededSparse(rng, n, n, 6), keepRows(seededSparse(rng, n, 700, 4), 5)},
+		"emptyproduct": {seededSparse(rng, 1500, 1500, 5), &Matrix{Rows: 1500, Cols: 40, RowPtr: make([]int, 1501)}},
+		"zerorows":     {empty, empty},
+		"dense":        {denseRows(1100, 30, normal), denseRows(30, 60, normal)},
+	}
+}
+
+// TestPlanReplaysMatchNaiveReference is the differential oracle for the
+// cached plans: ProductPlan, TransposePlan, and (for square A, with
+// P = B) SmoothPlan and RAPPlan, each planned at 1, 2 and 8 workers and
+// replayed at 1, 2 and 8 workers into a result poisoned with NaN,
+// bitwise against the naive loops above.
+func TestPlanReplaysMatchNaiveReference(t *testing.T) {
+	const omega = 0.64
+	workers := []int{1, 2, 8}
+	for name, tc := range refPlanCases() {
+		a, b := tc[0], tc[1]
+		for _, m := range tc {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		wantC := refProduct(a, b)
+		wantT := refTranspose(a)
+		square := a.Rows == a.Cols
+		var dinv []float64
+		var r, wantS, wantRAP *Matrix
+		if square {
+			dinv = make([]float64, a.Rows)
+			for i := range dinv {
+				dinv[i] = 1 / (1.5 + float64(i%7))
+			}
+			wantS = refSmooth(a, b, dinv, omega)
+			r = refTranspose(b)
+			wantRAP = refProduct(r, wantC)
+		}
+		for _, pw := range workers {
+			prt := par.New(pw)
+			pp, err := PlanMultiply(prt, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fallback := pp.flopPtr == nil; fallback != (name == "dense") {
+				t.Fatalf("%s: product plan fallback = %v", name, fallback)
+			}
+			tp := PlanTranspose(prt, a)
+			var sp *SmoothPlan
+			var rp *RAPPlan
+			if square {
+				if sp, err = PlanSmoothProlongator(prt, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if rp, err = PlanRAP(prt, r, a, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, rw := range workers {
+				rt := par.New(rw)
+				tag := fmt.Sprintf("%s/plan=%d/replay=%d/", name, pw, rw)
+				c := poisoned(pp.NewMatrix())
+				if err := pp.Replay(rt, a, b, c); err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, tag+"product", c, wantC)
+				tr := poisoned(tp.NewMatrix())
+				if err := tp.Replay(rt, a, tr); err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, tag+"transpose", tr, wantT)
+				if !square {
+					continue
+				}
+				s := poisoned(sp.NewMatrix())
+				if err := sp.Replay(rt, a, b, dinv, omega, s); err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, tag+"smooth", s, wantS)
+				g := poisoned(rp.NewMatrix())
+				if err := rp.Replay(rt, r, a, b, g); err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, tag+"rap", g, wantRAP)
+			}
+		}
+	}
+}
+
+// poisoned fills m's values with NaN, so a replay that skips an entry
+// cannot pass.
+func poisoned(m *Matrix) *Matrix {
+	for p := range m.Val {
+		m.Val[p] = math.NaN()
+	}
+	return m
 }
